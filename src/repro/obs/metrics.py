@@ -39,6 +39,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "histogram_quantile",
     "Registry",
     "DEFAULT_BUCKETS",
     "render_prometheus",
@@ -318,6 +319,32 @@ class Histogram(_Family):
     @property
     def count(self) -> int:
         return self._require_default().count
+
+
+def histogram_quantile(
+    q: float,
+    buckets_le: Sequence[float],
+    bucket_counts: Sequence[int],
+    inf_count: int = 0,
+) -> float:
+    """Prometheus-style quantile estimate from cumulative-free buckets.
+
+    Linearly interpolates within the bucket the rank lands in;
+    observations in the ``+Inf`` bucket clamp to the highest finite
+    edge (the same convention ``histogram_quantile()`` uses in PromQL).
+    """
+    total = sum(bucket_counts) + inf_count
+    if total == 0:
+        return 0.0
+    rank = q * total
+    running = 0.0
+    lower = 0.0
+    for le, count in zip(buckets_le, bucket_counts):
+        if count > 0 and running + count >= rank:
+            return lower + (le - lower) * (rank - running) / count
+        running += count
+        lower = le
+    return float(buckets_le[-1]) if buckets_le else 0.0
 
 
 class Registry:

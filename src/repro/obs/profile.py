@@ -1,33 +1,19 @@
 """A dependency-free, deterministic profiler for the hot paths.
 
-Two collection modes, both exporting collapsed stacks (the
-``flamegraph.pl`` input format) and Chrome ``trace_event`` JSON:
-
-* **Instrumented phase timers** (the default, and the only mode used in
-  tests and benches): code brackets its phases with
-  :meth:`Profiler.phase` or feeds per-access phase durations through a
-  :class:`CachePhaseTimer`.  The *set* of stacks and their counts is
-  fully deterministic — it depends only on the replayed trace — and the
-  measured seconds are the only wall-clock quantity, so two runs of the
-  same job produce the same profile shape with different timings.
-  ``sys.setprofile``/``sys.settrace`` are never touched: they would slow
-  the simulator 10-30x and perturb the very timings being measured.
-* An **optional signal-based sampler** (:class:`SignalSampler`):
-  wall-clock ``setitimer`` samples of the interrupted Python stack.
-  Cheap and honest but nondeterministic, so it is opt-in, refuses to
-  arm anywhere but the main thread of the main process, and is never
-  started in sweep workers (signals + ``ProcessPoolExecutor`` do not
-  mix).
-
-Profiles merge across processes like metrics do: workers ship
-:meth:`Profiler.export` payloads through the result pipeline and the
-parent :meth:`Profiler.absorb`-s them in job order.
+Code brackets its phases with :meth:`Profiler.phase` or feeds
+per-access phase durations through a :class:`CachePhaseTimer`; the
+aggregate exports as collapsed stacks (the ``flamegraph.pl`` input
+format) and Chrome ``trace_event`` JSON.  The *set* of stacks and their
+counts is fully deterministic — it depends only on the replayed trace —
+and the measured seconds are the only wall-clock quantity, so two runs
+of the same job produce the same profile shape with different timings.
+``sys.setprofile``/``sys.settrace`` are never touched: they would slow
+the simulator 10-30x and perturb the very timings being measured.
 """
 
 from __future__ import annotations
 
 import json
-import signal
 import threading
 import time
 from pathlib import Path
@@ -36,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 __all__ = [
     "Profiler",
     "CachePhaseTimer",
-    "SignalSampler",
 ]
 
 #: One aggregated stack: path -> [total_seconds, sample_count].
@@ -177,22 +162,6 @@ class Profiler:
         Path(path).write_text(json.dumps(payload), encoding="utf-8")
         return len(payload["traceEvents"])
 
-    # -- cross-process transport ---------------------------------------------
-
-    def export(self) -> List[dict]:
-        """The aggregate as a picklable payload (worker side)."""
-        return [
-            {"stack": list(key), "seconds": slot[0], "count": slot[1]}
-            for key, slot in sorted(self.collapsed().items())
-        ]
-
-    def absorb(self, payload: Sequence[dict]) -> None:
-        """Fold another process's :meth:`export` in (parent side)."""
-        for entry in payload:
-            self.record(
-                tuple(entry["stack"]), entry["seconds"], entry["count"],
-            )
-
 
 class _PhaseHandle:
     """One open phase; records its wall time against the full path."""
@@ -273,81 +242,3 @@ class CachePhaseTimer:
             }
             for phase in self.PHASES
         }
-
-
-class SignalSampler:
-    """Optional wall-clock sampling profiler over ``signal.setitimer``.
-
-    Every ``interval`` seconds the interrupted Python stack is recorded
-    into the profiler (one sample = ``interval`` seconds).  Honest about
-    where time goes with zero instrumentation, but nondeterministic —
-    so it never runs by default, and :meth:`available` gates it to the
-    main thread of a process that is not a sweep worker (workers are
-    detected by the pool initializer's module-global trace).
-    """
-
-    def __init__(self, profiler: Profiler, interval: float = 0.005) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.profiler = profiler
-        self.interval = interval
-        self.samples = 0
-        self._previous_handler = None
-        self._armed = False
-
-    @staticmethod
-    def available() -> bool:
-        """Whether a sampler may arm here: main thread only (signal
-        handlers cannot be installed elsewhere), never in a pool worker."""
-        if not hasattr(signal, "setitimer"):
-            return False  # pragma: no cover - POSIX always has it
-        if threading.current_thread() is not threading.main_thread():
-            return False
-        try:
-            from repro.core import sweep as _sweep
-
-            if _sweep._WORKER_TRACE is not None:
-                return False  # a sweep worker process
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
-        return True
-
-    def _handle(self, signum: int, frame) -> None:
-        stack: List[str] = []
-        while frame is not None:
-            code = frame.f_code
-            module = frame.f_globals.get("__name__", "?")
-            stack.append(f"{module}.{code.co_name}")
-            frame = frame.f_back
-        stack.reverse()
-        self.samples += 1
-        self.profiler.record(tuple(stack), self.interval)
-
-    def start(self) -> None:
-        if not self.available():
-            raise RuntimeError(
-                "SignalSampler may only run on the main thread of a "
-                "non-worker process"
-            )
-        if self._armed:
-            return
-        self._previous_handler = signal.signal(signal.SIGALRM, self._handle)
-        signal.setitimer(signal.ITIMER_REAL, self.interval, self.interval)
-        self._armed = True
-
-    def stop(self) -> None:
-        if not self._armed:
-            return
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        if self._previous_handler is not None:
-            signal.signal(signal.SIGALRM, self._previous_handler)
-        self._previous_handler = None
-        self._armed = False
-
-    def __enter__(self) -> "SignalSampler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-

@@ -570,7 +570,7 @@ class CachingProxy:
                 last_modified=cached.last_modified,
                 expires=cached.expires,
             )
-            self.store.put(refreshed, now=now)
+            self.store.refresh(refreshed, now=now)
             return self._respond_from(refreshed, "REVALIDATED")
         # Document changed (or revalidation unsupported): treat as miss.
         self.stats.inc("misses")

@@ -305,6 +305,25 @@ class ProxyStore:
             })
             return True
 
+    def refresh(self, document: CachedDocument, now: Optional[float] = None) -> None:
+        """Swap in a revalidated copy of a held document (a 304).
+
+        The preceding :meth:`get` already drove the cache's hit path, so
+        the entry keeps its place and policy metadata; only the body and
+        stamp change, journaled as a ``put`` so a restart sees the
+        refreshed ``fetched_at``.
+        """
+        with self._lock:
+            if document.url not in self._bodies:
+                return
+            stamp = max(0.0, self._clock() if now is None else now)
+            self._bodies[document.url] = document
+            self._stamps[document.url] = stamp
+            self._journal_append({
+                "op": "put",
+                "doc": _document_to_record(document, stamp),
+            })
+
     def invalidate(self, url: str) -> bool:
         """Drop a URL (failed revalidation); returns whether it was held."""
         with self._lock:

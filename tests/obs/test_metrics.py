@@ -1,5 +1,6 @@
 """Unit tests for the metrics registry: families, labels, histogram
-bucket semantics, snapshots/merge, and the Prometheus exposition."""
+bucket semantics, snapshots/merge, the Prometheus exposition, and
+quantile estimation from histogram buckets."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.obs.metrics import (
     DuplicateMetricError,
     MetricError,
     Registry,
+    histogram_quantile,
     render_prometheus,
 )
 
@@ -231,3 +233,22 @@ class TestExposition:
         lines = registry.render().splitlines()
         samples = [line for line in lines if not line.startswith("#")]
         assert samples == sorted(samples)
+
+
+class TestHistogramQuantile:
+    def test_empty_is_zero(self):
+        assert histogram_quantile(0.5, [0.001, 0.01], [0, 0]) == 0.0
+
+    def test_interpolates_within_bucket(self):
+        # 10 observations all landing in (0.0, 1.0]: p50 -> 0.5.
+        assert histogram_quantile(0.5, [1.0], [10]) == pytest.approx(0.5)
+
+    def test_spans_buckets(self):
+        # 5 in (0,1], 5 in (1,2]: p95 lands in the second bucket.
+        value = histogram_quantile(0.95, [1.0, 2.0], [5, 5])
+        assert 1.0 < value <= 2.0
+
+    def test_inf_bucket_clamps_to_highest_edge(self):
+        assert histogram_quantile(
+            0.99, [1.0, 2.0], [1, 0], inf_count=99,
+        ) == 2.0

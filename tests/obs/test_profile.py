@@ -1,7 +1,7 @@
 """Tests for the deterministic profiler: phase nesting, collapsed-stack
-and Chrome-trace export, cross-process export/absorb, the cache phase
-timer, the instrumented-vs-plain differential (profiling can never
-change simulation results), and the signal sampler's arming gate."""
+and Chrome-trace export, the cache phase timer, and the
+instrumented-vs-plain differential (profiling can never change
+simulation results)."""
 
 import json
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import SimCache, simulate
 from repro.obs.metrics import Registry
-from repro.obs.profile import CachePhaseTimer, Profiler, SignalSampler
+from repro.obs.profile import CachePhaseTimer, Profiler
 from repro.workloads import generate_valid
 
 
@@ -86,18 +86,6 @@ class TestProfiler:
         assert profiler.write_chrome_trace(path) == 2
         assert json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
 
-    def test_export_absorb_round_trip(self):
-        worker = Profiler()
-        worker.record(("sim.replay", "cache.access", "lookup"), 0.5, count=10)
-        worker.record(("sim.replay",), 1.0)
-        parent = Profiler()
-        parent.record(("sim.replay",), 2.0)
-        parent.absorb(worker.export())
-        assert parent.collapsed()[("sim.replay",)] == (3.0, 2)
-        assert parent.collapsed()[
-            ("sim.replay", "cache.access", "lookup")
-        ] == (0.5, 10)
-
 
 class TestCachePhaseTimer:
     def test_feeds_profiler_and_histogram(self):
@@ -163,50 +151,3 @@ class TestInstrumentedDifferential:
         ]
         assert lookups[1] == plain.metrics.total_requests
         assert profiler.total_seconds("sim.replay") > 0.0
-
-
-class TestSignalSampler:
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            SignalSampler(Profiler(), interval=0.0)
-
-    def test_available_on_main_thread(self):
-        assert SignalSampler.available()
-
-    def test_refuses_off_main_thread(self):
-        import threading
-
-        outcome = {}
-
-        def probe():
-            outcome["available"] = SignalSampler.available()
-            sampler = SignalSampler(Profiler())
-            try:
-                sampler.start()
-            except RuntimeError:
-                outcome["refused"] = True
-
-        thread = threading.Thread(target=probe)
-        thread.start()
-        thread.join()
-        assert outcome == {"available": False, "refused": True}
-
-    def test_refuses_inside_sweep_worker(self, monkeypatch):
-        from repro.core import sweep
-
-        monkeypatch.setattr(sweep, "_WORKER_TRACE", object())
-        assert not SignalSampler.available()
-
-    def test_samples_the_running_stack(self):
-        profiler = Profiler()
-        with SignalSampler(profiler, interval=0.002) as sampler:
-            deadline = __import__("time").perf_counter() + 0.2
-            while __import__("time").perf_counter() < deadline:
-                sum(range(1000))
-        assert sampler.samples > 0
-        assert profiler.total_seconds() > 0.0
-        assert any(
-            frame.endswith("test_samples_the_running_stack")
-            for key in profiler.collapsed()
-            for frame in key
-        )

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import SimCache, simulate, size_policy
+from repro.core.keys import ETIME
+from repro.core.policy import KeyPolicy
 from repro.proxy import CachingProxy, ConsistencyEstimator, ProxyStore
 from repro.proxy.origin import OriginServer
 from repro.proxy.replay import ReplayReport, TraceOriginSite, replay_through_proxy
@@ -54,31 +56,43 @@ class TestTraceOriginSite:
 
 
 @pytest.fixture
-def stack():
-    """Origin + always-revalidate proxy with an advancing clock."""
-    site = TraceOriginSite()
-    origin = OriginServer(site=site).start()
-    clock = [1_000_000_000.0]
+def make_stack():
+    """Builds origin + always-revalidate proxy stacks over a given store,
+    each with an advancing clock; stops them all at teardown."""
+    running = []
 
-    def tick():
-        clock[0] += 1.0
-        return clock[0]
+    def make(store):
+        site = TraceOriginSite()
+        origin = OriginServer(site=site).start()
+        clock = [1_000_000_000.0]
 
-    store = ProxyStore(capacity=10**9, policy=size_policy())
-    proxy = CachingProxy(
-        store,
-        resolver=lambda host: origin.address,
-        # Zero freshness: every repeat access revalidates, which makes the
-        # live proxy's hit definition (304 => consistent copy) match the
-        # simulator's URL+size rule exactly.
-        estimator=ConsistencyEstimator(
-            lm_factor=0.0, min_ttl=0.0, max_ttl=0.0, default_ttl=0.0,
-        ),
-        clock=tick,
-    ).start()
-    yield site, proxy
-    proxy.stop()
-    origin.stop()
+        def tick():
+            clock[0] += 1.0
+            return clock[0]
+
+        proxy = CachingProxy(
+            store,
+            resolver=lambda host: origin.address,
+            # Zero freshness: every repeat access revalidates, which makes
+            # the live proxy's hit definition (304 => consistent copy)
+            # match the simulator's URL+size rule exactly.
+            estimator=ConsistencyEstimator(
+                lm_factor=0.0, min_ttl=0.0, max_ttl=0.0, default_ttl=0.0,
+            ),
+            clock=tick,
+        ).start()
+        running.append((proxy, origin))
+        return site, proxy
+
+    yield make
+    for proxy, origin in running:
+        proxy.stop()
+        origin.stop()
+
+
+@pytest.fixture
+def stack(make_stack):
+    return make_stack(ProxyStore(capacity=10**9, policy=size_policy()))
 
 
 class TestReplay:
@@ -97,6 +111,25 @@ class TestReplay:
         # The modified document (new size) is a miss both live and simulated.
         assert report.outcomes[3] == "MISS"
         assert report.outcomes[4] in ("HIT", "REVALIDATED")
+
+    def test_live_matches_simulator_with_evictions(self, make_stack):
+        """A 304 refreshes the copy in place.  With a finite store and
+        ETIME (first-in, first-out) removal, the revalidated ``a`` keeps
+        its entry time and is evicted when ``c`` arrives, live and
+        simulated alike."""
+        trace = [
+            req(t, f"http://a.edu/{name}.bin", 400)
+            for t, name in enumerate("abaca")
+        ]
+        site, proxy = make_stack(
+            ProxyStore(capacity=1000, policy=KeyPolicy([ETIME])),
+        )
+        report = replay_through_proxy(trace, proxy, site)
+        predicted = simulate(
+            trace, SimCache(capacity=1000, policy=KeyPolicy([ETIME])),
+        )
+        assert predicted.metrics.total_hits == 1
+        assert report.hits + report.revalidated == predicted.metrics.total_hits
 
     def test_report_hit_rate_empty(self):
         assert ReplayReport().hit_rate == 0.0

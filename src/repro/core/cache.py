@@ -197,7 +197,6 @@ class SimCache:
         self.eviction_count = 0
         self.evicted_bytes = 0
         self._rng = random.Random(seed)
-        self._phases = None
         self._latency_estimator = latency_estimator
         self._ttl_assigner = ttl_assigner
         self._on_evict = on_evict
@@ -256,20 +255,52 @@ class SimCache:
 
     def set_phase_timer(self, timer) -> None:
         """Attach (or with ``None`` detach) a per-access phase timer —
-        a :class:`repro.obs.profile.CachePhaseTimer` — switching
-        :meth:`access` onto an instrumented twin that times the lookup /
-        evict / admit phases.  The uninstrumented hot path is untouched,
-        and the twin performs the identical operations in the identical
-        order (RNG draws included), so timing can never perturb results
-        — the differential test runs both paths and diffs."""
-        self._phases = timer
+        a :class:`repro.obs.profile.CachePhaseTimer`.
+
+        Instance attributes shadow :meth:`access`, :meth:`_make_room`
+        (the ``evict`` phase) and :meth:`_insert` (``admit``) with
+        wrappers that read the timer's clock around the very methods an
+        untimed cache runs, so timing can never change results.
+        ``lookup`` is the whole access minus the evict and admit seconds
+        measured inside it.  The wrappers bind the instance's own
+        ``access``, so a subclass override stays in the path; attaching
+        a second timer replaces the first."""
+        for name in ("access", "_make_room", "_insert"):
+            self.__dict__.pop(name, None)
+        if timer is None:
+            return
+        clock = timer.clock
+        observe = timer.observe
+        access = self.access
+        inner = 0.0  # evict + admit seconds inside the current access
+
+        def timed_access(request: Request, now: Optional[float] = None):
+            nonlocal inner
+            inner = 0.0
+            start = clock()
+            result = access(request, now)
+            observe("lookup", clock() - start - inner)
+            return result
+
+        def seam(method, phase: str):
+            def timed(*args):
+                nonlocal inner
+                start = clock()
+                out = method(*args)
+                seconds = clock() - start
+                inner += seconds
+                observe(phase, seconds)
+                return out
+            return timed
+
+        self.access = timed_access
+        self._make_room = seam(self._make_room, "evict")
+        self._insert = seam(self._insert, "admit")
 
     # -- the Section 1.1 access path ------------------------------------------
 
     def access(self, request: Request, now: Optional[float] = None) -> AccessResult:
         """Process one valid trace request against the cache."""
-        if self._phases is not None:
-            return self._timed_access(request, now)
         if now is None:
             now = request.timestamp
         entry = self._entries.get(request.url)
@@ -287,72 +318,6 @@ class SimCache:
             return result
         return self._admit(request, now)
 
-    def _timed_access(
-        self, request: Request, now: Optional[float] = None,
-    ) -> AccessResult:
-        """The instrumented twin of :meth:`access`: same operations,
-        same order, plus phase timing through ``self._phases``."""
-        timer = self._phases
-        clock = timer.clock
-        if now is None:
-            now = request.timestamp
-        start = clock()
-        entry = self._entries.get(request.url)
-        if entry is not None:
-            if entry.size == request.size:
-                entry.touch(now)
-                if self._index is not None:
-                    self._index.on_touch(entry)
-                self.policy.on_hit(entry)
-                timer.observe("lookup", clock() - start)
-                return AccessResult(AccessOutcome.HIT, request)
-            self._remove_entry(entry, count_as_eviction=False)
-            timer.observe("lookup", clock() - start)
-            result = self._timed_admit(request, now)
-            result.outcome = AccessOutcome.MISS_MODIFIED
-            return result
-        timer.observe("lookup", clock() - start)
-        return self._timed_admit(request, now)
-
-    def _timed_admit(self, request: Request, now: float) -> AccessResult:
-        """The instrumented twin of :meth:`_admit`, splitting the miss
-        path into its ``evict`` (making room) and ``admit`` (entry
-        construction + index insertion) phases."""
-        timer = self._phases
-        clock = timer.clock
-        size = request.size
-        if self.capacity is not None and size > self.capacity:
-            return AccessResult(AccessOutcome.MISS_TOO_LARGE, request)
-        start = clock()
-        evicted = self._make_room(size, now)
-        admit_start = clock()
-        timer.observe("evict", admit_start - start)
-        entry = CacheEntry(
-            url=request.url,
-            size=size,
-            etime=now,
-            atime=now,
-            nref=1,
-            doc_type=request.media_type,
-            random_stamp=self._rng.random(),
-            latency=(
-                self._latency_estimator(request)
-                if self._latency_estimator is not None else 0.0
-            ),
-            expires_at=(
-                self._ttl_assigner(request, now)
-                if self._ttl_assigner is not None else None
-            ),
-        )
-        self._entries[entry.url] = entry
-        self.used_bytes += size
-        self.max_used_bytes = max(self.max_used_bytes, self.used_bytes)
-        if self._index is not None:
-            self._index.add(entry)
-        self.policy.on_admit(entry)
-        timer.observe("admit", clock() - admit_start)
-        return AccessResult(AccessOutcome.MISS, request, evicted)
-
     def remove(self, url: str) -> Optional[CacheEntry]:
         """Explicitly drop a URL (consistency invalidation, tests)."""
         entry = self._entries.get(url)
@@ -367,9 +332,15 @@ class SimCache:
         if self.capacity is not None and size > self.capacity:
             return AccessResult(AccessOutcome.MISS_TOO_LARGE, request)
         evicted = self._make_room(size, now)
+        self._insert(request, now)
+        return AccessResult(AccessOutcome.MISS, request, evicted)
+
+    def _insert(self, request: Request, now: float) -> None:
+        """Build the entry for a missed request and index it (the
+        caller has made room)."""
         entry = CacheEntry(
             url=request.url,
-            size=size,
+            size=request.size,
             etime=now,
             atime=now,
             nref=1,
@@ -385,12 +356,11 @@ class SimCache:
             ),
         )
         self._entries[entry.url] = entry
-        self.used_bytes += size
+        self.used_bytes += entry.size
         self.max_used_bytes = max(self.max_used_bytes, self.used_bytes)
         if self._index is not None:
             self._index.add(entry)
         self.policy.on_admit(entry)
-        return AccessResult(AccessOutcome.MISS, request, evicted)
 
     def _make_room(self, size: int, now: float) -> List[CacheEntry]:
         """Evict in policy order until ``size`` bytes fit (Section 1.2:

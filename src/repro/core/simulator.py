@@ -122,10 +122,12 @@ def simulate(
             creates a private per-day recorder; pass ``False`` to
             disable recording entirely.
         profiler: optional :class:`~repro.obs.profile.Profiler`.  When
-            set (or when ``obs.profiler`` is), the replay runs with the
-            cache's instrumented access path, timing the lookup / evict
-            / admit phases into the profiler and — if ``obs`` is given —
-            the per-policy ``repro_sim_phase_seconds`` histogram.
+            set (or when ``obs.profiler`` is), a phase timer is attached
+            to the cache for the replay (``cache.set_phase_timer``): it
+            times the lookup / evict / admit phases around the cache's
+            one access path, feeds the per-policy
+            ``repro_sim_phase_seconds`` histogram if ``obs`` is given,
+            and is flushed into the profiler once at the end.
     """
     from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
 
@@ -152,11 +154,11 @@ def simulate(
     if profiler is not None:
         from repro.obs.profile import CachePhaseTimer
 
-        cache.set_phase_timer(CachePhaseTimer(
+        timer = CachePhaseTimer(
             policy=cache.policy.name,
             registry=obs.registry if obs is not None else None,
-            profiler=profiler,
-        ))
+        )
+        cache.set_phase_timer(timer)
     start_evictions = cache.eviction_count
     start_evicted_bytes = cache.evicted_bytes
     start_seconds = time.perf_counter()
@@ -205,6 +207,7 @@ def simulate(
         span_cm.__exit__(None, None, None)
     if profiler is not None:
         cache.set_phase_timer(None)
+        timer.flush(profiler)
         profiler.record(
             ("sim.replay",), time.perf_counter() - start_seconds,
         )

@@ -1,6 +1,6 @@
 """repro.durability — crash-safe persistence primitives.
 
-Three building blocks, shared by every layer that must survive process
+Four building blocks, shared by every layer that must survive process
 death (the sweep coordinator's checkpoints, the proxy store's journaled
 state, the result and snapshot caches):
 
@@ -20,6 +20,12 @@ state, the result and snapshot caches):
   manifest: one atomic, checksummed JSON document describing a state
   directory (format version, fingerprints, completion status).  A
   directory without a verifiable manifest is not a checkpoint.
+* :func:`write_sealed_jsonl` / :func:`read_sealed_jsonl` — an export
+  sealed as a whole: canonical JSONL records and one trailer line
+  carrying their count and SHA-256.  Unlike a journal, a reader
+  tolerates nothing — truncation or corruption anywhere is a
+  :class:`SealedFileError` with a one-line reason (the time-series and
+  MRC-curves exports).
 
 Fault injection: every write path accepts an optional ``faults``
 injector (a :class:`repro.faults.FaultInjector` over the disk-fault
@@ -52,6 +58,7 @@ __all__ = [
     "MANIFEST_FORMAT",
     "MANIFEST_NAME",
     "ManifestError",
+    "SealedFileError",
     "Journal",
     "JournalRecovery",
     "atomic_write_bytes",
@@ -61,7 +68,9 @@ __all__ = [
     "checksum",
     "read_journal",
     "read_manifest",
+    "read_sealed_jsonl",
     "write_manifest",
+    "write_sealed_jsonl",
 ]
 
 #: On-disk journal line format; bumped only when the envelope changes.
@@ -461,3 +470,78 @@ def read_manifest(
     if envelope.get("sha") != checksum(payload):
         raise ManifestError(f"{path}: manifest checksum mismatch")
     return payload
+
+
+# -- sealed JSONL exports -----------------------------------------------------
+
+
+class SealedFileError(ValueError):
+    """A sealed JSONL export is missing, truncated, or corrupt."""
+
+
+def write_sealed_jsonl(
+    records: List[dict], path: Union[str, Path], trailer_kind: str,
+) -> int:
+    """Write records as canonical JSONL followed by a checksum trailer
+    ``{"kind": trailer_kind, "samples": n, "sha256": ...}``; returns the
+    record count (excluding the trailer line)."""
+    digest = hashlib.sha256()
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            line = canonical_json(record) + "\n"
+            digest.update(line.encode("utf-8"))
+            handle.write(line)
+        handle.write(canonical_json({
+            "kind": trailer_kind,
+            "samples": len(records),
+            "sha256": digest.hexdigest(),
+        }) + "\n")
+    return len(records)
+
+
+def read_sealed_jsonl(path: Union[str, Path], trailer_kind: str) -> List[dict]:
+    """Parse and verify a :func:`write_sealed_jsonl` export.
+
+    Raises :class:`SealedFileError` (with a one-line reason) when the
+    file is missing, empty, truncated, or fails its checksum.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as error:
+        raise SealedFileError(f"cannot read {path}: {error}") from error
+    if not text.strip():
+        raise SealedFileError(f"{path} is empty")
+    records: List[dict] = []
+    digest = hashlib.sha256()
+    trailer: Optional[dict] = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if trailer is not None:
+            raise SealedFileError(
+                f"{path}:{lineno}: data after the checksum trailer"
+            )
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            raise SealedFileError(
+                f"{path}:{lineno}: truncated or corrupt JSON line"
+            ) from None
+        if isinstance(record, dict) and record.get("kind") == trailer_kind:
+            trailer = record
+            continue
+        records.append(record)
+        digest.update((canonical_json(record) + "\n").encode("utf-8"))
+    if trailer is None:
+        raise SealedFileError(
+            f"{path}: missing checksum trailer (file truncated?)"
+        )
+    if trailer.get("samples") != len(records):
+        raise SealedFileError(
+            f"{path}: trailer declares {trailer.get('samples')} samples, "
+            f"found {len(records)}"
+        )
+    if trailer.get("sha256") != digest.hexdigest():
+        raise SealedFileError(f"{path}: checksum mismatch")
+    return records

@@ -83,11 +83,12 @@ def sim_metrics(registry: Registry) -> SimpleNamespace:
 def phase_metrics(registry: Registry) -> SimpleNamespace:
     """Per-access phase timing (``repro_sim_phase_seconds``).
 
-    Recorded by the instrumented cache access path (profiled replays,
-    the live proxy store): one histogram per (policy, phase) where the
-    phases are ``lookup`` (entry probe + hit bookkeeping), ``evict``
-    (making room in removal order) and ``admit`` (entry construction and
-    index insertion).
+    Recorded by a :class:`~repro.obs.profile.CachePhaseTimer` wrapped
+    around a cache's access seams (profiled replays, the live proxy
+    store): one histogram per (policy, phase) where the phases are
+    ``evict`` (``_make_room``: making room in removal order), ``admit``
+    (``_insert``: entry construction and index insertion) and
+    ``lookup`` (the rest of the access: entry probe + hit bookkeeping).
     """
     return SimpleNamespace(
         sim_phase_seconds=registry.histogram(

@@ -17,7 +17,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 __all__ = [
     "Profiler",
@@ -31,18 +31,13 @@ StackKey = Tuple[str, ...]
 class Profiler:
     """Aggregates (stack path, seconds, count) samples.
 
-    Thread-safe; cheap enough to leave attached (one dict update per
-    recorded phase).  ``enabled=False`` turns every recording call into
-    a no-op so call sites never need their own guard.
+    Thread-safe; one dict update per recorded sample.  Per-access cache
+    phases reach it pre-aggregated, through
+    :meth:`CachePhaseTimer.flush`.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.enabled = enabled
         self._lock = threading.Lock()
         self._stacks: Dict[StackKey, List[float]] = {}
         self._frames = threading.local()
@@ -53,8 +48,6 @@ class Profiler:
         self, stack: Sequence[str], seconds: float, count: int = 1,
     ) -> None:
         """Fold one measured sample into the aggregate."""
-        if not self.enabled:
-            return
         key = tuple(stack)
         with self._lock:
             slot = self._stacks.get(key)
@@ -187,31 +180,25 @@ class _PhaseHandle:
 
 
 class CachePhaseTimer:
-    """Per-access phase sink a :class:`~repro.core.cache.SimCache`
-    reports into when instrumented (``cache.set_phase_timer``).
+    """Per-access phase accumulator a :class:`~repro.core.cache.SimCache`
+    reports into when timed (``cache.set_phase_timer``).
 
-    Feeds two destinations per observed phase — the per-policy
-    ``repro_sim_phase_seconds`` histogram (when a registry was given)
-    and a :class:`Profiler` under a fixed stack prefix — and keeps raw
-    per-phase totals for cheap summaries.  Histogram children are
-    resolved once here, so the per-access cost is two clock reads and a
-    couple of dict-free updates.
+    :meth:`observe` keeps per-phase totals and counts and, when a
+    registry was given, feeds the per-policy ``repro_sim_phase_seconds``
+    histogram (children resolved once here).  :meth:`flush` hands the
+    totals to a :class:`Profiler` once, after the replay.
     """
 
     PHASES = ("lookup", "evict", "admit")
+    PREFIX = ("sim.replay", "cache.access")
 
     def __init__(
         self,
         policy: str,
         registry=None,
-        profiler: Optional[Profiler] = None,
-        prefix: Sequence[str] = ("sim.replay", "cache.access"),
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        self.policy = policy
         self.clock = clock
-        self._profiler = profiler
-        self._prefix = tuple(prefix)
         self.totals: Dict[str, float] = {phase: 0.0 for phase in self.PHASES}
         self.counts: Dict[str, int] = {phase: 0 for phase in self.PHASES}
         self._children: Dict[str, object] = {}
@@ -230,15 +217,13 @@ class CachePhaseTimer:
         child = self._children.get(phase)
         if child is not None:
             child.observe(seconds)
-        if self._profiler is not None:
-            self._profiler.record(self._prefix + (phase,), seconds)
 
-    def summary(self) -> Dict[str, dict]:
-        """Per-phase totals as a plain dict."""
-        return {
-            phase: {
-                "seconds": self.totals[phase],
-                "count": self.counts[phase],
-            }
-            for phase in self.PHASES
-        }
+    def flush(self, profiler: Profiler) -> None:
+        """Record each observed phase's total and count under
+        :attr:`PREFIX`."""
+        for phase in self.PHASES:
+            if self.counts[phase]:
+                profiler.record(
+                    self.PREFIX + (phase,), self.totals[phase],
+                    self.counts[phase],
+                )

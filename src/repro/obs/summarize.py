@@ -185,11 +185,12 @@ def _summarize_metrics(path: Path) -> str:
 
 def _summarize_timeseries(path: Path) -> str:
     """Verify and summarize a checksummed time-series JSONL export."""
-    from repro.obs.timeseries import TimeSeriesError, read_timeseries
+    from repro.durability import SealedFileError
+    from repro.obs.timeseries import read_timeseries
 
     try:
         samples = read_timeseries(path)
-    except TimeSeriesError as error:
+    except SealedFileError as error:
         raise ArtifactError(f"timeseries: {error}")
     days = sorted({sample["day"] for sample in samples})
     by_series: Counter = Counter(

@@ -231,18 +231,14 @@ class ProxyStore:
     def policy_name(self) -> str:
         return self._cache.policy.name
 
-    def enable_phase_metrics(self, registry, profiler=None) -> None:
+    def enable_phase_metrics(self, registry) -> None:
         """Time the store's lookup/evict/admit phases per request into
-        the per-policy ``repro_sim_phase_seconds`` histogram (and an
-        optional profiler) — the live-proxy end of the same
-        instrumentation the profiled simulator uses."""
+        the per-policy ``repro_sim_phase_seconds`` histogram — the
+        live-proxy end of the same timer the profiled simulator uses."""
         from repro.obs.profile import CachePhaseTimer
 
         self._cache.set_phase_timer(CachePhaseTimer(
-            policy=self._cache.policy.name,
-            registry=registry,
-            profiler=profiler,
-            prefix=("proxy.request", "store.access"),
+            policy=self._cache.policy.name, registry=registry,
         ))
 
     def __len__(self) -> int:

@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.analysis.mrc import (
-    MRCCurvesError,
     single_pass_mrc,
     read_curves,
     write_curves,
@@ -26,6 +25,7 @@ from repro.core import SimCache, simulate
 from repro.core.experiments import max_needed_for
 from repro.core.keys import TAXONOMY_KEYS
 from repro.core.policy import KeyPolicy
+from repro.durability import SealedFileError
 from repro.workloads import generate_valid
 
 # The pinned differential configuration: 10% base sampling on the seeded
@@ -245,13 +245,13 @@ class TestCurvesEnvelope:
         assert records == result.records()
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MRCCurvesError, match="cannot read"):
+        with pytest.raises(SealedFileError, match="cannot read"):
             read_curves(tmp_path / "nope.jsonl")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "curves.jsonl"
         path.write_text("")
-        with pytest.raises(MRCCurvesError, match="empty"):
+        with pytest.raises(SealedFileError, match="empty"):
             read_curves(path)
 
     def test_truncated(self, small_run, tmp_path):
@@ -260,7 +260,7 @@ class TestCurvesEnvelope:
         write_curves(result, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the trailer
-        with pytest.raises(MRCCurvesError, match="missing checksum"):
+        with pytest.raises(SealedFileError, match="missing checksum"):
             read_curves(path)
 
     def test_corrupted_line(self, small_run, tmp_path):
@@ -269,7 +269,7 @@ class TestCurvesEnvelope:
         write_curves(result, path)
         text = path.read_text().replace('"hr"', '"hx"', 1)
         path.write_text(text)
-        with pytest.raises(MRCCurvesError, match="checksum mismatch"):
+        with pytest.raises(SealedFileError, match="checksum mismatch"):
             read_curves(path)
 
     def test_trailing_garbage(self, small_run, tmp_path):
@@ -278,7 +278,7 @@ class TestCurvesEnvelope:
         write_curves(result, path)
         with path.open("a") as handle:
             handle.write('{"day": 1}\n')
-        with pytest.raises(MRCCurvesError, match="after the checksum"):
+        with pytest.raises(SealedFileError, match="after the checksum"):
             read_curves(path)
 
 

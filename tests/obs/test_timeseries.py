@@ -8,11 +8,11 @@ import json
 import pytest
 
 from repro.core.metrics import moving_average
+from repro.durability import SealedFileError
 from repro.obs.metrics import Registry
 from repro.obs.timeseries import (
     CHECKSUM_KIND,
     SimStreamTicker,
-    TimeSeriesError,
     TimeSeriesRecorder,
     hit_rate_series,
     merge_samples,
@@ -143,19 +143,19 @@ class TestJsonlRoundTrip:
         assert samples == recorder.samples()
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TimeSeriesError, match="cannot read"):
+        with pytest.raises(SealedFileError, match="cannot read"):
             read_timeseries(tmp_path / "absent.jsonl")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(TimeSeriesError, match="is empty"):
+        with pytest.raises(SealedFileError, match="is empty"):
             read_timeseries(path)
 
     def test_truncated_json_line(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         path.write_text('{"day": 0, "met', encoding="utf-8")
-        with pytest.raises(TimeSeriesError, match="truncated or corrupt"):
+        with pytest.raises(SealedFileError, match="truncated or corrupt"):
             read_timeseries(path)
 
     def test_missing_trailer(self, tmp_path):
@@ -164,7 +164,7 @@ class TestJsonlRoundTrip:
             '{"day": 0, "metric": "m", "labels": {}, "value": 1.0}\n',
             encoding="utf-8",
         )
-        with pytest.raises(TimeSeriesError, match="missing checksum trailer"):
+        with pytest.raises(SealedFileError, match="missing checksum trailer"):
             read_timeseries(path)
 
     def test_dropped_sample_detected(self, tmp_path):
@@ -178,7 +178,7 @@ class TestJsonlRoundTrip:
         path.write_text(
             "\n".join(lines[1:]) + "\n", encoding="utf-8",  # drop sample 0
         )
-        with pytest.raises(TimeSeriesError, match="declares"):
+        with pytest.raises(SealedFileError, match="declares"):
             read_timeseries(path)
 
     def test_tampered_value_fails_checksum(self, tmp_path):
@@ -192,7 +192,7 @@ class TestJsonlRoundTrip:
         record["value"] = 999.0
         lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(TimeSeriesError, match="checksum mismatch"):
+        with pytest.raises(SealedFileError, match="checksum mismatch"):
             read_timeseries(path)
 
     def test_data_after_trailer(self, tmp_path):
@@ -203,7 +203,7 @@ class TestJsonlRoundTrip:
         recorder.write_jsonl(path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"day": 9}\n')
-        with pytest.raises(TimeSeriesError, match="after the checksum"):
+        with pytest.raises(SealedFileError, match="after the checksum"):
             read_timeseries(path)
 
     def test_trailer_kind_constant(self, tmp_path):
